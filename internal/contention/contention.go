@@ -105,12 +105,14 @@ func (s Spec) Validate() error {
 		}
 		return nil
 	}
+	// Each range test is written as "not inside" so that NaN, which
+	// compares false against every bound, is rejected too.
 	switch {
-	case s.LLCKB < 0 || s.LLCKB > 1<<20:
+	case !(s.LLCKB >= 0 && s.LLCKB <= 1<<20):
 		return fmt.Errorf("contention: llc override %g outside [0, 1048576] KB", s.LLCKB)
-	case s.BWGBps < 0 || s.BWGBps > 1024:
+	case !(s.BWGBps >= 0 && s.BWGBps <= 1024):
 		return fmt.Errorf("contention: bandwidth override %g outside [0, 1024] GB/s", s.BWGBps)
-	case s.MissSlope < 0 || s.MissSlope > 8:
+	case !(s.MissSlope >= 0 && s.MissSlope <= 8):
 		return fmt.Errorf("contention: miss slope %g outside [0, 8]", s.MissSlope)
 	}
 	return nil

@@ -55,6 +55,9 @@ func TestParseSpecRejects(t *testing.T) {
 		"on,slope=-0.1",  // negative slope
 		"on,slope=9",     // slope above cap
 		"off,llc=64",     // disabled spec with overrides
+		"on,llc=NaN",     // non-finite capacity
+		"on,bw=nan",      // non-finite bandwidth
+		"on,slope=NaN",   // non-finite slope
 	}
 	for _, in := range bad {
 		if _, err := ParseSpec(in); err == nil {

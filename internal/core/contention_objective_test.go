@@ -182,23 +182,9 @@ func TestContentionIncrementalMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCachesFresh(t, e)
 		for step := 0; step < 30; step++ {
-			if r.Float64() < 0.5 {
-				i := r.Intn(m)
-				dst := arch.CoreID(r.Intn(n))
-				pre := e.MoveDelta(i, dst)
-				got := e.Move(i, dst)
-				if math.Abs(pre-got) > 1e-9 {
-					t.Fatalf("MoveDelta %g != Move %g", pre, got)
-				}
-			} else {
-				i, j := r.Intn(m), r.Intn(m)
-				pre := e.SwapDelta(i, j)
-				got := e.Swap(i, j)
-				if math.Abs(pre-got) > 1e-9 {
-					t.Fatalf("SwapDelta %g != Swap %g", pre, got)
-				}
-			}
+			mutateAndCheck(t, r, e)
 			scratch, err := EvaluateAllocation(p, e.Allocation())
 			if err != nil {
 				t.Fatal(err)

@@ -367,6 +367,25 @@ func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
 // cores) incremental updates — the paper's "keeping track of previous
 // computations and obtaining a new evaluation only by performing
 // computations induced by the latest swap on Ψ".
+//
+// It computes each quantity once, through three caches:
+//
+//   - obj is the current objective. Reset, Move and Swap set it with
+//     one fresh fold after they mutate, so it always equals a fold of
+//     the current state and Objective is a field read.
+//   - pv is the last MoveDelta/SwapDelta preview: the mover(s), the
+//     destination and the two cores' previewed (gips, power) pairs.
+//     Move/Swap commit those pairs only when called with exactly the
+//     previewed arguments, and otherwise re-run coreEval. Every
+//     mutation and every Reset invalidates the preview.
+//   - pen[j] is core j's contention penalty under the current domain
+//     and core aggregates. Reset fills it; Move/Swap refresh only the
+//     cores of the (at most two) LLC domains they touch, the only
+//     cores whose inputs changed.
+//
+// All three reuse floats produced by the same expressions in the same
+// order as a from-scratch computation, so caching changes no bit of
+// any result.
 type Evaluator struct {
 	prob   *Problem
 	alloc  Allocation
@@ -378,19 +397,22 @@ type Evaluator struct {
 	sumGIPS       float64
 	sumPow        float64
 	ratioSum      float64 // Σ ω_j IPS_j/P_j for PerCoreRatioSum mode
+	obj           float64 // cached Objective: a fold of the current state
+	pv            preview
 
 	// Contention aggregates, maintained only when the problem carries a
 	// ContentionTerm (zero-length otherwise): the pooled thread
-	// appetites (working set, bandwidth) per LLC domain and per core. A
-	// move or swap touches at most two cores and two domains, so these
-	// stay O(1) to maintain; the penalised objective is an O(cores)
-	// fold where core j's discount is driven by its domain aggregate
-	// minus its own contribution (self-exclusion, mirroring the
-	// machine-side model).
+	// appetites (working set, bandwidth) per LLC domain and per core,
+	// and each core's penalty under them. A move or swap touches at
+	// most two cores and two domains, so these stay cheap to maintain;
+	// the penalised objective is an O(cores) fold where core j's
+	// discount is driven by its domain aggregate minus its own
+	// contribution (self-exclusion, mirroring the machine-side model).
 	domWs  []float64
 	domBw  []float64
 	coreWs []float64
 	coreBw []float64
+	pen    []float64
 
 	// Scratch reused across Reset calls and delta previews, so a
 	// controller-owned evaluator allocates nothing in steady state
@@ -403,6 +425,25 @@ type Evaluator struct {
 	previewA     []int
 	previewB     []int
 }
+
+// preview records the last MoveDelta/SwapDelta: the thread(s) it moved,
+// the move destination, and the previewed (gips, power) of the two
+// cores it changed — the source (a) and destination (b) of a move, or
+// the cores of threads i and k for a swap.
+type preview struct {
+	kind           previewKind
+	i, k           int
+	dst            arch.CoreID
+	ga, wa, gb, wb float64
+}
+
+type previewKind uint8
+
+const (
+	previewNone previewKind = iota
+	previewMove
+	previewSwap
+)
 
 // NewEvaluator builds an evaluator for the initial allocation.
 func NewEvaluator(prob *Problem, initial Allocation) (*Evaluator, error) {
@@ -471,13 +512,39 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 			e.coreWs[c] += t.WsKB[i]
 			e.coreBw[c] += t.BwGBps[i]
 		}
+		e.pen = growFloats(e.pen, n)
+		for j := 0; j < n; j++ {
+			e.pen[j] = e.corePenalty(j)
+		}
 	} else {
 		e.domWs = e.domWs[:0]
 		e.domBw = e.domBw[:0]
 		e.coreWs = e.coreWs[:0]
 		e.coreBw = e.coreBw[:0]
+		e.pen = e.pen[:0]
 	}
+	e.pv.kind = previewNone
+	e.obj = e.fold()
 	return nil
+}
+
+// corePenalty computes core j's contention penalty from the current
+// domain and core aggregates.
+func (e *Evaluator) corePenalty(j int) float64 {
+	t := e.prob.Contention
+	d := int(t.DomainOf[j])
+	return t.penalty(d, e.domWs[d]-e.coreWs[j], e.domBw[d]-e.coreBw[j])
+}
+
+// refreshPenalties recomputes pen for every core in LLC domains da and
+// db — after a move or swap between them, the only penalties whose
+// inputs changed.
+func (e *Evaluator) refreshPenalties(da, db int32) {
+	for j, d := range e.prob.Contention.DomainOf {
+		if d == da || d == db {
+			e.pen[j] = e.corePenalty(j)
+		}
+	}
 }
 
 // ratio is the per-core Eq. (11) term: 0 for an empty core.
@@ -488,20 +555,24 @@ func ratio(gips, pow float64, populated bool) float64 {
 	return gips / pow
 }
 
-// Objective returns the current J_E under the problem's mode. With a
-// contention term the throughput side is a penalty-discounted fold
-// over cores — each core discounted by the co-runner appetite pooled
-// in its LLC domain, its own contribution excluded — while power is
-// never discounted (contention wastes cycles, it does not save
-// energy).
-func (e *Evaluator) Objective() float64 {
-	if t := e.prob.Contention; t != nil {
+// Objective returns the current J_E under the problem's mode.
+func (e *Evaluator) Objective() float64 { return e.obj }
+
+// fold computes J_E from the cached per-core state. With a contention
+// term the throughput side is a penalty-discounted fold over cores —
+// each core discounted by the co-runner appetite pooled in its LLC
+// domain, its own contribution excluded — while power is never
+// discounted (contention wastes cycles, it does not save energy). An
+// unpopulated core's term is exactly pen·0 = +0, so it is skipped.
+func (e *Evaluator) fold() float64 {
+	if e.prob.Contention != nil {
 		var penG, penR float64
-		for j := range e.coreGIPS {
-			d := int(t.DomainOf[j])
-			pen := t.penalty(d, e.domWs[d]-e.coreWs[j], e.domBw[d]-e.coreBw[j])
-			penG += pen * e.coreGIPS[j]
-			penR += pen * ratio(e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
+		for j, pop := range e.prevPopulated {
+			if !pop {
+				continue
+			}
+			penG += e.pen[j] * e.coreGIPS[j]
+			penR += e.pen[j] * ratio(e.coreGIPS[j], e.corePow[j], true)
 		}
 		switch e.prob.Mode {
 		case PerCoreRatioSum:
@@ -559,7 +630,9 @@ func (e *Evaluator) objectiveWith(a, b int, ga, wa float64, na bool, gb, wb floa
 // land on the domain aggregates of every *other* core in the affected
 // domains; for cores a and b themselves the domain and own-core shifts
 // cancel (self-exclusion: a core's discount never reflects its own
-// threads, only its co-runners').
+// threads, only its co-runners'). Cores whose inputs the deltas leave
+// alone read their cached penalty; unpopulated cores contribute +0 and
+// are skipped.
 func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb float64, nb bool, dwsA, dbwA, dwsB, dbwB float64) float64 {
 	t := e.prob.Contention
 	da, db := int(t.DomainOf[a]), int(t.DomainOf[b])
@@ -571,18 +644,24 @@ func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb 
 		} else if j == b {
 			g, w, pop = gb, wb, nb
 		}
+		if !pop {
+			continue
+		}
 		d := int(t.DomainOf[j])
-		ws := e.domWs[d] - e.coreWs[j]
-		bw := e.domBw[d] - e.coreBw[j]
-		if d == da && j != a {
-			ws += dwsA
-			bw += dbwA
+		pen := e.pen[j]
+		if (d == da && j != a) || (d == db && j != b) {
+			ws := e.domWs[d] - e.coreWs[j]
+			bw := e.domBw[d] - e.coreBw[j]
+			if d == da && j != a {
+				ws += dwsA
+				bw += dbwA
+			}
+			if d == db && j != b {
+				ws += dwsB
+				bw += dbwB
+			}
+			pen = t.penalty(d, ws, bw)
 		}
-		if d == db && j != b {
-			ws += dwsB
-			bw += dbwB
-		}
-		pen := t.penalty(d, ws, bw)
 		penG += pen * g
 		penR += pen * ratio(g, w, pop)
 	}
@@ -601,8 +680,10 @@ func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb 
 }
 
 // MoveDelta returns the objective change of moving thread i to core
-// dst, without applying it.
+// dst, without applying it. The previewed core values are recorded so
+// an immediately following Move(i, dst) commits them.
 func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
+	e.pv.kind = previewNone
 	src := e.alloc[i]
 	if src == dst {
 		return 0
@@ -614,11 +695,12 @@ func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
 	e.previewB[nd] = i
 	ga, wa := e.coreEval(int(src), e.previewA)
 	gb, wb := e.coreEval(int(dst), e.previewB)
+	e.pv = preview{kind: previewMove, i: i, dst: dst, ga: ga, wa: wa, gb: gb, wb: wb}
 	if t := e.prob.Contention; t != nil {
 		return e.objectiveWithCont(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true,
-			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.Objective()
+			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.obj
 	}
-	return e.objectiveWith(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true) - e.Objective()
+	return e.objectiveWith(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true) - e.obj
 }
 
 // Move applies the move of thread i to core dst, updating caches, and
@@ -628,10 +710,19 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 	if src == dst {
 		return 0
 	}
-	before := e.Objective()
+	pv := e.pv
+	e.pv.kind = previewNone
+	before := e.obj
 	e.byCore[src] = removeInPlace(e.byCore[src], i)
 	e.byCore[dst] = append(e.byCore[dst], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity; growth stops after the first epochs)
 	e.alloc[i] = dst
+	if pv.kind == previewMove && pv.i == i && pv.dst == dst {
+		e.setCore(int(src), pv.ga, pv.wa)
+		e.setCore(int(dst), pv.gb, pv.wb)
+	} else {
+		e.recompute(int(src))
+		e.recompute(int(dst))
+	}
 	if t := e.prob.Contention; t != nil {
 		ds, dd := t.DomainOf[src], t.DomainOf[dst]
 		e.domWs[ds] -= t.WsKB[i]
@@ -642,15 +733,17 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 		e.coreBw[src] -= t.BwGBps[i]
 		e.coreWs[dst] += t.WsKB[i]
 		e.coreBw[dst] += t.BwGBps[i]
+		e.refreshPenalties(ds, dd)
 	}
-	e.recompute(int(src))
-	e.recompute(int(dst))
-	return e.Objective() - before
+	e.obj = e.fold()
+	return e.obj - before
 }
 
 // SwapDelta returns the objective change of swapping the cores of
-// threads i and k without applying it.
+// threads i and k without applying it. The previewed core values are
+// recorded so an immediately following Swap(i, k) commits them.
 func (e *Evaluator) SwapDelta(i, k int) float64 {
+	e.pv.kind = previewNone
 	ci, ck := e.alloc[i], e.alloc[k]
 	if ci == ck {
 		return 0
@@ -665,12 +758,13 @@ func (e *Evaluator) SwapDelta(i, k int) float64 {
 	e.previewB[nb] = i
 	ga, wa := e.coreEval(int(ci), e.previewA)
 	gb, wb := e.coreEval(int(ck), e.previewB)
+	e.pv = preview{kind: previewSwap, i: i, k: k, ga: ga, wa: wa, gb: gb, wb: wb}
 	if t := e.prob.Contention; t != nil {
 		return e.objectiveWithCont(int(ci), int(ck), ga, wa, true, gb, wb, true,
 			t.WsKB[k]-t.WsKB[i], t.BwGBps[k]-t.BwGBps[i],
-			t.WsKB[i]-t.WsKB[k], t.BwGBps[i]-t.BwGBps[k]) - e.Objective()
+			t.WsKB[i]-t.WsKB[k], t.BwGBps[i]-t.BwGBps[k]) - e.obj
 	}
-	return e.objectiveWith(int(ci), int(ck), ga, wa, true, gb, wb, true) - e.Objective()
+	return e.objectiveWith(int(ci), int(ck), ga, wa, true, gb, wb, true) - e.obj
 }
 
 // Swap applies the swap of threads i and k and returns the delta.
@@ -679,10 +773,19 @@ func (e *Evaluator) Swap(i, k int) float64 {
 	if ci == ck {
 		return 0
 	}
-	before := e.Objective()
+	pv := e.pv
+	e.pv.kind = previewNone
+	before := e.obj
 	e.byCore[ci] = append(removeInPlace(e.byCore[ci], i), k) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.byCore[ck] = append(removeInPlace(e.byCore[ck], k), i) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.alloc[i], e.alloc[k] = ck, ci
+	if pv.kind == previewSwap && pv.i == i && pv.k == k {
+		e.setCore(int(ci), pv.ga, pv.wa)
+		e.setCore(int(ck), pv.gb, pv.wb)
+	} else {
+		e.recompute(int(ci))
+		e.recompute(int(ck))
+	}
 	if t := e.prob.Contention; t != nil {
 		di, dk := t.DomainOf[ci], t.DomainOf[ck]
 		e.domWs[di] += t.WsKB[k] - t.WsKB[i]
@@ -693,21 +796,27 @@ func (e *Evaluator) Swap(i, k int) float64 {
 		e.coreBw[ci] += t.BwGBps[k] - t.BwGBps[i]
 		e.coreWs[ck] += t.WsKB[i] - t.WsKB[k]
 		e.coreBw[ck] += t.BwGBps[i] - t.BwGBps[k]
+		e.refreshPenalties(di, dk)
 	}
-	e.recompute(int(ci))
-	e.recompute(int(ck))
-	return e.Objective() - before
+	e.obj = e.fold()
+	return e.obj - before
 }
 
 // recompute refreshes core j's cached contribution after a membership
 // change.
 func (e *Evaluator) recompute(j int) {
+	g, w := e.coreEval(j, e.byCore[j])
+	e.setCore(j, g, w)
+}
+
+// setCore replaces core j's cached (gips, power) with values computed
+// for its current members, keeping the running sums in step.
+func (e *Evaluator) setCore(j int, g, w float64) {
 	oldG, oldW := e.coreGIPS[j], e.corePow[j]
 	oldR := ratio(oldG, oldW, e.prevPopulated[j])
 	e.sumGIPS -= oldG
 	e.sumPow -= oldW
 	e.ratioSum -= oldR
-	g, w := e.coreEval(j, e.byCore[j])
 	e.coreGIPS[j] = g
 	e.corePow[j] = w
 	e.sumGIPS += g

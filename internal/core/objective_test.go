@@ -221,25 +221,12 @@ func TestEvaluatorIncrementalMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A sequence of random moves and swaps; after each, the
-		// incremental objective must equal a scratch evaluation.
+		checkCachesFresh(t, e)
+		// A sequence of random moves and swaps, previewed or not; after
+		// each, the incremental objective must equal a scratch
+		// evaluation.
 		for step := 0; step < 30; step++ {
-			if r.Float64() < 0.5 {
-				i := r.Intn(m)
-				dst := arch.CoreID(r.Intn(n))
-				pre := e.MoveDelta(i, dst)
-				got := e.Move(i, dst)
-				if math.Abs(pre-got) > 1e-9 {
-					t.Fatalf("MoveDelta %g != Move %g", pre, got)
-				}
-			} else {
-				i, j := r.Intn(m), r.Intn(m)
-				pre := e.SwapDelta(i, j)
-				got := e.Swap(i, j)
-				if math.Abs(pre-got) > 1e-9 {
-					t.Fatalf("SwapDelta %g != Swap %g", pre, got)
-				}
-			}
+			mutateAndCheck(t, r, e)
 			scratch, err := EvaluateAllocation(p, e.Allocation())
 			if err != nil {
 				t.Fatal(err)
@@ -248,6 +235,114 @@ func TestEvaluatorIncrementalMatchesScratch(t *testing.T) {
 				t.Fatalf("incremental %.9f != scratch %.9f at step %d", e.Objective(), scratch, step)
 			}
 		}
+	}
+}
+
+// mutateAndCheck applies one random evaluator mutation, chosen to
+// exercise every preview path: a preview committed by the matching
+// call, a mutation with no preview, a preview followed by a different
+// Move or Swap, a SwapDelta followed by a Move, and a preview made
+// stale by an intervening mutation before the matching call. A
+// committed preview must agree with the applied delta, and after every
+// mutation the evaluator's caches must equal a fresh computation.
+func mutateAndCheck(t *testing.T, r *rng.Rand, e *Evaluator) {
+	t.Helper()
+	m, n := len(e.alloc), len(e.byCore)
+	pickMove := func() (int, arch.CoreID) { return r.Intn(m), arch.CoreID(r.Intn(n)) }
+	pickSwap := func() (int, int) { return r.Intn(m), r.Intn(m) }
+	move := func(i int, dst arch.CoreID) float64 {
+		d := e.Move(i, dst)
+		checkCachesFresh(t, e)
+		return d
+	}
+	swap := func(i, k int) float64 {
+		d := e.Swap(i, k)
+		checkCachesFresh(t, e)
+		return d
+	}
+	otherMove := func(i int, dst arch.CoreID) (int, arch.CoreID) {
+		i2, dst2 := pickMove()
+		if i2 == i && dst2 == dst {
+			dst2 = (dst2 + 1) % arch.CoreID(n)
+		}
+		return i2, dst2
+	}
+	switch r.Intn(6) {
+	case 0: // preview committed by the matching Move
+		i, dst := pickMove()
+		pre := e.MoveDelta(i, dst)
+		if got := move(i, dst); math.Abs(pre-got) > 1e-9 {
+			t.Fatalf("MoveDelta %g != Move %g", pre, got)
+		}
+	case 1: // preview committed by the matching Swap
+		i, k := pickSwap()
+		pre := e.SwapDelta(i, k)
+		if got := swap(i, k); math.Abs(pre-got) > 1e-9 {
+			t.Fatalf("SwapDelta %g != Swap %g", pre, got)
+		}
+	case 2: // no preview
+		if r.Float64() < 0.5 {
+			move(pickMove())
+		} else {
+			swap(pickSwap())
+		}
+	case 3: // MoveDelta followed by a different Move or by a Swap
+		i, dst := pickMove()
+		e.MoveDelta(i, dst)
+		if r.Float64() < 0.5 {
+			move(otherMove(i, dst))
+		} else {
+			swap(pickSwap())
+		}
+	case 4: // SwapDelta followed by a Move or by a different Swap
+		i, k := pickSwap()
+		e.SwapDelta(i, k)
+		if r.Float64() < 0.5 {
+			move(pickMove())
+		} else {
+			swap(k, (i+1)%m)
+		}
+	case 5: // a preview, an intervening mutation, then the previewed call
+		if r.Float64() < 0.5 {
+			i, dst := pickMove()
+			e.MoveDelta(i, dst)
+			swap(pickSwap())
+			move(i, dst)
+		} else {
+			i, k := pickSwap()
+			e.SwapDelta(i, k)
+			move(pickMove())
+			swap(i, k)
+		}
+	}
+}
+
+// checkCachesFresh asserts, bit for bit, that every evaluator cache
+// equals a fresh computation from the current allocation: each core's
+// (gips, power) a fresh coreEval of its members, each contention
+// penalty a fresh penalty of the current aggregates, and the cached
+// objective a fresh fold.
+func checkCachesFresh(t *testing.T, e *Evaluator) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for j := range e.byCore {
+		g, w := e.coreEval(j, e.byCore[j])
+		if !same(g, e.coreGIPS[j]) || !same(w, e.corePow[j]) {
+			t.Fatalf("core %d cached (%v, %v) != fresh (%v, %v)", j, e.coreGIPS[j], e.corePow[j], g, w)
+		}
+	}
+	if e.prob.Contention != nil {
+		if len(e.pen) != len(e.byCore) {
+			t.Fatalf("%d cached penalties for %d cores", len(e.pen), len(e.byCore))
+		}
+		for j := range e.pen {
+			if fresh := e.corePenalty(j); !same(fresh, e.pen[j]) {
+				t.Fatalf("core %d cached penalty %v != fresh %v", j, e.pen[j], fresh)
+			}
+		}
+	}
+	if fresh := e.fold(); !same(fresh, e.Objective()) {
+		t.Fatalf("cached objective %v != fresh fold %v", e.Objective(), fresh)
 	}
 }
 
