@@ -51,25 +51,26 @@ var (
 	errAnnealMaxIter      = errors.New("core: anneal MaxIter < 1")
 	errAnnealPerturb      = errors.New("core: anneal Perturb outside (0,1]")
 	errAnnealDeltaPerturb = errors.New("core: anneal DeltaPerturb outside (0,1]")
-	errAnnealAccept       = errors.New("core: anneal Accept must be positive")
+	errAnnealAccept       = errors.New("core: anneal Accept must be positive and finite")
 	errAnnealDeltaAccept  = errors.New("core: anneal DeltaAccept outside (0,1]")
 	errAnnealSwapFraction = errors.New("core: anneal SwapFraction outside [0,1]")
 )
 
-// Validate checks parameter domains.
+// Validate checks parameter domains. Each range is written as "not
+// inside" so NaN, which fails every comparison, is rejected too.
 func (c *AnnealConfig) Validate() error {
 	switch {
 	case c.MaxIter < 1:
 		return errAnnealMaxIter
-	case c.Perturb <= 0 || c.Perturb > 1:
+	case !(c.Perturb > 0 && c.Perturb <= 1):
 		return errAnnealPerturb
-	case c.DeltaPerturb <= 0 || c.DeltaPerturb > 1:
+	case !(c.DeltaPerturb > 0 && c.DeltaPerturb <= 1):
 		return errAnnealDeltaPerturb
-	case c.Accept <= 0:
+	case !(c.Accept > 0 && c.Accept <= math.MaxFloat64):
 		return errAnnealAccept
-	case c.DeltaAccept <= 0 || c.DeltaAccept > 1:
+	case !(c.DeltaAccept > 0 && c.DeltaAccept <= 1):
 		return errAnnealDeltaAccept
-	case c.SwapFraction < 0 || c.SwapFraction > 1:
+	case !(c.SwapFraction >= 0 && c.SwapFraction <= 1):
 		return errAnnealSwapFraction
 	}
 	return nil

@@ -23,13 +23,21 @@ type goldenProblem struct {
 	m, n    int
 	domains []int32 // LLC domain of each core; nil means contention-blind
 	pinned  bool    // restrict every other thread to a random core subset
-	seed    uint64
+	// utils, when non-nil, replaces every thread's utilisation with a
+	// draw from this palette, so many threads tie on the same demand.
+	utils []float64
+	// pile, when positive, draws the initial allocation from the first
+	// pile cores only, crowding every thread onto them.
+	pile int
+	seed uint64
 }
 
 // goldenProblems covers the shapes the controller hands the annealer:
 // the A14 contended platform (4 threads on 6 cores in three 2-core LLC
-// domains), a QuadHMP-sized 8x4 grid, a wider random one, and an
-// affinity-restricted problem.
+// domains), a QuadHMP-sized 8x4 grid, a wider random one, an
+// affinity-restricted problem, and Mix6-like crowds: 24 threads on 4
+// cores with tied, mostly saturated utilisations, started piled onto
+// one or two cores.
 var goldenProblems = []goldenProblem{
 	{name: "a14-blind", m: 4, n: 6, seed: 11},
 	{name: "a14-cont", m: 4, n: 6, domains: []int32{0, 0, 1, 1, 2, 2}, seed: 11},
@@ -37,7 +45,14 @@ var goldenProblems = []goldenProblem{
 	{name: "quad-cont", m: 8, n: 4, domains: []int32{0, 0, 1, 1}, seed: 12},
 	{name: "wide-cont", m: 12, n: 8, domains: []int32{0, 0, 0, 1, 1, 2, 2, 2}, seed: 13},
 	{name: "pinned-cont", m: 6, n: 6, domains: []int32{0, 0, 1, 1, 2, 2}, pinned: true, seed: 14},
+	{name: "crowd-blind", m: 24, n: 4, utils: crowdUtils, pile: 2, seed: 15},
+	{name: "crowd-cont", m: 24, n: 4, domains: []int32{0, 0, 1, 1}, utils: crowdUtils, pile: 1, seed: 16},
+	{name: "crowd2-cont", m: 24, n: 4, domains: []int32{0, 0, 1, 1}, utils: crowdUtils, pile: 2, seed: 17},
 }
+
+// crowdUtils is the crowded problems' utilisation palette: mostly
+// saturated threads plus a few repeated fractional demands.
+var crowdUtils = []float64{1, 1, 1, 1, 0.5, 0.5, 0.25, 0.75, 0.125}
 
 // build assembles the problem for one objective mode. The rng stream
 // depends only on the problem's seed, so every mode sees the same
@@ -46,6 +61,11 @@ func (g goldenProblem) build(mode ObjectiveMode) (*Problem, Allocation) {
 	r := rng.New(g.seed)
 	p := randomProblem(r, g.m, g.n)
 	p.Mode = mode
+	if g.utils != nil {
+		for i := range p.Util {
+			p.Util[i] = g.utils[r.Intn(len(g.utils))]
+		}
+	}
 	if g.domains != nil {
 		nd := 0
 		for _, d := range g.domains {
@@ -77,8 +97,12 @@ func (g goldenProblem) build(mode ObjectiveMode) (*Problem, Allocation) {
 	if g.pinned {
 		p.Allowed = make([][]bool, g.m)
 	}
+	span := g.n
+	if g.pile > 0 {
+		span = g.pile
+	}
 	for i := range initial {
-		initial[i] = arch.CoreID(r.Intn(g.n))
+		initial[i] = arch.CoreID(r.Intn(span))
 		if g.pinned && i%2 == 0 {
 			row := make([]bool, g.n)
 			row[initial[i]] = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"smartbalance/internal/arch"
@@ -21,6 +22,12 @@ func TestAnnealConfigValidate(t *testing.T) {
 		func(c *AnnealConfig) { c.Accept = 0 },
 		func(c *AnnealConfig) { c.DeltaAccept = 1.2 },
 		func(c *AnnealConfig) { c.SwapFraction = -0.1 },
+		func(c *AnnealConfig) { c.Perturb = math.NaN() },
+		func(c *AnnealConfig) { c.DeltaPerturb = math.NaN() },
+		func(c *AnnealConfig) { c.Accept = math.NaN() },
+		func(c *AnnealConfig) { c.Accept = math.Inf(1) },
+		func(c *AnnealConfig) { c.DeltaAccept = math.NaN() },
+		func(c *AnnealConfig) { c.SwapFraction = math.NaN() },
 	}
 	for i, mod := range bad {
 		c := DefaultAnnealConfig()
@@ -28,6 +35,16 @@ func TestAnnealConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad anneal config %d accepted", i)
 		}
+	}
+}
+
+func TestAnnealRejectsNaNConfig(t *testing.T) {
+	// A NaN perturbation used to reach the move generator, whose span
+	// then made IntRange panic on an empty interval.
+	cfg := DefaultAnnealConfig()
+	cfg.Perturb = math.NaN()
+	if _, err := Anneal(toyProblem(), Allocation{0, 0, 0, 0}, cfg); err == nil {
+		t.Fatal("NaN Perturb accepted")
 	}
 }
 

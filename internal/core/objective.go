@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smartbalance/internal/arch"
 )
@@ -187,6 +188,7 @@ var (
 	errAffinityRows = errors.New("core: affinity matrix row count != threads")
 	errAllocLen     = errors.New("core: allocation length != thread count")
 	errAllocCore    = errors.New("core: allocation addresses invalid core")
+	errWeightValue  = errors.New("core: non-finite objective weight")
 
 	errContentionShape  = errors.New("core: contention term shape mismatch")
 	errContentionDomain = errors.New("core: contention domain with non-positive capacity")
@@ -210,21 +212,31 @@ func (p *Problem) Validate() error {
 		if len(p.IPS[i]) != n || len(p.Power[i]) != n {
 			return fmt.Errorf("core: thread %d row width != %d cores", i, n) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
-		if p.Util[i] < 0 || p.Util[i] > 1 {
+		// Ranges are written as "not inside" so NaN, which fails every
+		// comparison, is rejected too; the evaluator's per-core
+		// utilisation order needs demands to be totally ordered.
+		if !(p.Util[i] >= 0 && p.Util[i] <= 1) {
 			return fmt.Errorf("core: thread %d utilisation %g outside [0,1]", i, p.Util[i]) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
 		for j := 0; j < n; j++ {
-			if p.IPS[i][j] < 0 || p.Power[i][j] < 0 {
-				return fmt.Errorf("core: negative entry at (%d,%d)", i, j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
+			if !nonNegFinite(p.IPS[i][j]) || !nonNegFinite(p.Power[i][j]) {
+				return fmt.Errorf("core: negative or non-finite entry at (%d,%d)", i, j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 			}
 		}
 	}
-	if p.Weights != nil && len(p.Weights) != n {
-		return errWeightWidth
+	if p.Weights != nil {
+		if len(p.Weights) != n {
+			return errWeightWidth
+		}
+		for _, w := range p.Weights {
+			if !isFinite(w) {
+				return errWeightValue
+			}
+		}
 	}
 	for j := range p.IdlePower {
-		if p.IdlePower[j] < 0 {
-			return fmt.Errorf("core: negative idle power on core %d", j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
+		if !nonNegFinite(p.IdlePower[j]) {
+			return fmt.Errorf("core: negative or non-finite idle power on core %d", j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
 	}
 	if p.Allowed != nil {
@@ -258,6 +270,9 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// nonNegFinite reports whether v is a finite number >= 0.
+func nonNegFinite(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
 // weight returns ω_j.
 func (p *Problem) weight(j int) float64 {
 	if p.Weights == nil {
@@ -286,81 +301,103 @@ func (a Allocation) Valid(n int) bool {
 	return true
 }
 
-// coreShare computes, for the threads mapped to one core, each
-// thread's share of core time under CFS time-sharing: fair water-
-// filling of one core-second per second among threads capped by their
-// utilisation demand. utils must be the demands of the threads on this
-// core; the return value is aligned with it. Allocating convenience
-// form; the evaluator's hot path uses coreShareInto with owned scratch.
-func coreShare(utils []float64) []float64 {
-	shares := make([]float64, len(utils))
-	coreShareInto(shares, utils, make([]int, len(utils)))
-	return shares
+// waterFill hands one core-second per second out to the threads mapped
+// to one core under CFS time-sharing: fair water-filling among threads
+// capped by their utilisation demand. Visiting the threads in ascending
+// demand order, each takes min(demand, remaining capacity / threads
+// still to serve), so threads below the fair share take their demand
+// and release capacity to the rest.
+type waterFill struct {
+	capacity  float64
+	remaining int
 }
 
-// coreShareInto computes the fair shares into shares (len(utils)),
-// using idx (len(utils)) as index-sort scratch. The index sort is an
-// insertion sort: per-core thread counts are small (tens at most),
-// where it beats sort.Slice anyway — and unlike sort.Slice it costs no
-// closure and no interface boxing on the epoch path.
-func coreShareInto(shares, utils []float64, idx []int) {
-	n := len(utils)
-	if n == 0 {
-		return
+// take serves the next thread, of demand u, and returns its share.
+func (f *waterFill) take(u float64) float64 {
+	fair := f.capacity / float64(f.remaining)
+	if u > fair {
+		u = fair
 	}
-	// Sort indices by demand ascending; threads below the fair share
-	// take their demand, releasing capacity to the rest.
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < n; i++ {
-		k := idx[i]
-		j := i - 1
-		for j >= 0 && utils[idx[j]] > utils[k] {
-			idx[j+1] = idx[j]
-			j--
-		}
-		idx[j+1] = k
-	}
-	capacity := 1.0
-	remaining := n
-	for _, i := range idx {
-		fair := capacity / float64(remaining)
-		s := utils[i]
-		if s > fair {
-			s = fair
-		}
-		shares[i] = s
-		capacity -= s
-		remaining--
-	}
+	f.capacity -= u
+	f.remaining--
+	return u
 }
 
-// coreEval computes one core's expected throughput (weighted, in GIPS)
-// and power (W) for the threads mapped to it, using the evaluator's
-// scratch buffers. An empty core draws its quiescent idle power and
-// produces nothing.
-func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
+// coreEval computes core j's expected throughput (weighted, in GIPS)
+// and power (W) for its members with thread drop removed and thread add
+// appended (either may be -1 for none) — the edited member list a
+// preview asks about, without building it. The water-filling walks
+// order[j], skipping drop and serving add after every member whose
+// demand is at most its own: exactly where a stable sort of the edited
+// list (add last) would put it. Shares land in the per-thread share
+// buffer; the sums then run in member order, add last. An empty core
+// draws its quiescent idle power and produces nothing.
+func (e *Evaluator) coreEval(j, drop, add int) (gips, power float64) {
 	p := e.prob
-	if len(threads) == 0 {
+	members := e.byCore[j]
+	n := len(members)
+	if drop >= 0 {
+		n--
+	}
+	if add >= 0 {
+		n++
+	}
+	if n == 0 {
 		return 0, p.IdlePower[j]
 	}
-	e.utilScratch = growFloats(e.utilScratch, len(threads))
-	e.shareScratch = growFloats(e.shareScratch, len(threads))
-	e.idxScratch = growInts(e.idxScratch, len(threads))
-	for k, i := range threads {
-		e.utilScratch[k] = p.Util[i]
+	util, share := p.Util, e.share
+	fill := waterFill{capacity: 1, remaining: n}
+	pending := add >= 0
+	var ua float64
+	if pending {
+		ua = util[add]
 	}
-	coreShareInto(e.shareScratch, e.utilScratch, e.idxScratch)
+	for _, i := range e.order[j] {
+		if i == drop {
+			continue
+		}
+		if pending && util[i] > ua {
+			share[add] = fill.take(ua)
+			pending = false
+		}
+		share[i] = fill.take(util[i])
+	}
+	if pending {
+		share[add] = fill.take(ua)
+	}
 	var ips, busy float64
-	for k, i := range threads {
-		s := e.shareScratch[k]
+	for _, i := range members {
+		if i == drop {
+			continue
+		}
+		s := share[i]
 		ips += s * p.IPS[i][j]
 		power += s * p.Power[i][j]
 		busy += s
 	}
+	if add >= 0 {
+		s := share[add]
+		ips += s * p.IPS[add][j]
+		power += s * p.Power[add][j]
+		busy += s
+	}
 	power += (1 - busy) * p.IdlePower[j]
 	return p.weight(j) * ips / 1e9, power
+}
+
+// insertByUtil inserts thread i into the demand-sorted row ord after
+// every member whose utilisation is at most its own, keeping ord a
+// stable sort of a member list to which i was appended.
+func insertByUtil(ord []int, util []float64, i int) []int {
+	u := util[i]
+	k := len(ord)
+	ord = append(ord, i) //sbvet:allow hotpath(per-core order rows keep their high-water capacity; growth stops after the first epochs)
+	for k > 0 && util[ord[k-1]] > u {
+		ord[k] = ord[k-1]
+		k--
+	}
+	ord[k] = i
+	return ord
 }
 
 // Evaluator maintains an allocation's objective value with O(changed
@@ -368,7 +405,7 @@ func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
 // computations and obtaining a new evaluation only by performing
 // computations induced by the latest swap on Ψ".
 //
-// It computes each quantity once, through three caches:
+// It computes each quantity once, through four caches:
 //
 //   - obj is the current objective. Reset, Move and Swap set it with
 //     one fresh fold after they mutate, so it always equals a fold of
@@ -382,14 +419,20 @@ func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
 //     and core aggregates. Reset fills it; Move/Swap refresh only the
 //     cores of the (at most two) LLC domains they touch, the only
 //     cores whose inputs changed.
+//   - order[j] is core j's members stably sorted by utilisation, ties
+//     in member order: the order water-filling visits them in. Reset
+//     builds it; Move/Swap remove the leaving thread and insert the
+//     arriving one in O(members), so no evaluation copies or sorts.
 //
-// All three reuse floats produced by the same expressions in the same
+// All four reuse floats produced by the same expressions in the same
 // order as a from-scratch computation, so caching changes no bit of
 // any result.
 type Evaluator struct {
 	prob   *Problem
 	alloc  Allocation
-	byCore [][]int // thread indices per core
+	byCore [][]int   // thread indices per core
+	order  [][]int   // byCore rows stably sorted by utilisation
+	share  []float64 // per-thread water-filling share, coreEval's output
 
 	coreGIPS      []float64
 	corePow       []float64
@@ -413,17 +456,6 @@ type Evaluator struct {
 	coreWs []float64
 	coreBw []float64
 	pen    []float64
-
-	// Scratch reused across Reset calls and delta previews, so a
-	// controller-owned evaluator allocates nothing in steady state
-	// (DESIGN.md §11). utilScratch/shareScratch/idxScratch back
-	// coreEval; previewA/previewB hold hypothetical core member lists
-	// during MoveDelta/SwapDelta.
-	utilScratch  []float64
-	shareScratch []float64
-	idxScratch   []int
-	previewA     []int
-	previewB     []int
 }
 
 // preview records the last MoveDelta/SwapDelta: the thread(s) it moved,
@@ -474,18 +506,22 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 	e.alloc = growAlloc(e.alloc, len(initial))
 	copy(e.alloc, initial)
 	e.byCore = growIntRows(e.byCore, n)
+	e.order = growIntRows(e.order, n)
 	for j := range e.byCore {
 		e.byCore[j] = e.byCore[j][:0]
+		e.order[j] = e.order[j][:0]
 	}
+	e.share = growFloats(e.share, len(initial))
 	e.coreGIPS = growFloats(e.coreGIPS, n)
 	e.corePow = growFloats(e.corePow, n)
 	e.prevPopulated = growBools(e.prevPopulated, n)
 	e.sumGIPS, e.sumPow, e.ratioSum = 0, 0, 0
 	for i, c := range e.alloc {
 		e.byCore[c] = append(e.byCore[c], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity across Resets)
+		e.order[c] = insertByUtil(e.order[c], prob.Util, i)
 	}
 	for j := range e.coreGIPS {
-		g, w := e.coreEval(j, e.byCore[j])
+		g, w := e.coreEval(j, -1, -1)
 		e.coreGIPS[j] = g
 		e.corePow[j] = w
 		e.sumGIPS += g
@@ -564,27 +600,30 @@ func (e *Evaluator) Objective() float64 { return e.obj }
 // domain, its own contribution excluded — while power is never
 // discounted (contention wastes cycles, it does not save energy). An
 // unpopulated core's term is exactly pen·0 = +0, so it is skipped.
+// The fold accumulates the penalised per-core ratios in PerCoreRatioSum
+// mode and the penalised throughput otherwise — only what the mode
+// reads.
 func (e *Evaluator) fold() float64 {
 	if e.prob.Contention != nil {
-		var penG, penR float64
+		ratioMode := e.prob.Mode == PerCoreRatioSum
+		var acc float64
 		for j, pop := range e.prevPopulated {
 			if !pop {
 				continue
 			}
-			penG += e.pen[j] * e.coreGIPS[j]
-			penR += e.pen[j] * ratio(e.coreGIPS[j], e.corePow[j], true)
-		}
-		switch e.prob.Mode {
-		case PerCoreRatioSum:
-			return penR
-		case MaxThroughput:
-			return penG
-		default:
-			if e.sumPow <= 0 {
-				return 0
+			if ratioMode {
+				acc += e.pen[j] * ratio(e.coreGIPS[j], e.corePow[j], true)
+			} else {
+				acc += e.pen[j] * e.coreGIPS[j]
 			}
-			return penG / e.sumPow
 		}
+		if ratioMode || e.prob.Mode == MaxThroughput {
+			return acc
+		}
+		if e.sumPow <= 0 {
+			return 0
+		}
+		return acc / e.sumPow
 	}
 	switch e.prob.Mode {
 	case PerCoreRatioSum:
@@ -632,11 +671,12 @@ func (e *Evaluator) objectiveWith(a, b int, ga, wa float64, na bool, gb, wb floa
 // cancel (self-exclusion: a core's discount never reflects its own
 // threads, only its co-runners'). Cores whose inputs the deltas leave
 // alone read their cached penalty; unpopulated cores contribute +0 and
-// are skipped.
+// are skipped. Like fold, it accumulates only what the mode reads.
 func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb float64, nb bool, dwsA, dbwA, dwsB, dbwB float64) float64 {
 	t := e.prob.Contention
 	da, db := int(t.DomainOf[a]), int(t.DomainOf[b])
-	var penG, penR float64
+	ratioMode := e.prob.Mode == PerCoreRatioSum
+	var acc float64
 	for j := range e.coreGIPS {
 		g, w, pop := e.coreGIPS[j], e.corePow[j], e.prevPopulated[j]
 		if j == a {
@@ -662,21 +702,20 @@ func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb 
 			}
 			pen = t.penalty(d, ws, bw)
 		}
-		penG += pen * g
-		penR += pen * ratio(g, w, pop)
-	}
-	switch e.prob.Mode {
-	case PerCoreRatioSum:
-		return penR
-	case MaxThroughput:
-		return penG
-	default:
-		w := e.sumPow - e.corePow[a] - e.corePow[b] + wa + wb
-		if w <= 0 {
-			return 0
+		if ratioMode {
+			acc += pen * ratio(g, w, true)
+		} else {
+			acc += pen * g
 		}
-		return penG / w
 	}
+	if ratioMode || e.prob.Mode == MaxThroughput {
+		return acc
+	}
+	w := e.sumPow - e.corePow[a] - e.corePow[b] + wa + wb
+	if w <= 0 {
+		return 0
+	}
+	return acc / w
 }
 
 // MoveDelta returns the objective change of moving thread i to core
@@ -688,19 +727,15 @@ func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
 	if src == dst {
 		return 0
 	}
-	e.previewA = removeFromInto(e.previewA, e.byCore[src], i)
-	nd := len(e.byCore[dst])
-	e.previewB = growInts(e.previewB, nd+1)
-	copy(e.previewB, e.byCore[dst])
-	e.previewB[nd] = i
-	ga, wa := e.coreEval(int(src), e.previewA)
-	gb, wb := e.coreEval(int(dst), e.previewB)
+	ga, wa := e.coreEval(int(src), i, -1)
+	gb, wb := e.coreEval(int(dst), -1, i)
 	e.pv = preview{kind: previewMove, i: i, dst: dst, ga: ga, wa: wa, gb: gb, wb: wb}
+	na := len(e.byCore[src]) > 1
 	if t := e.prob.Contention; t != nil {
-		return e.objectiveWithCont(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true,
+		return e.objectiveWithCont(int(src), int(dst), ga, wa, na, gb, wb, true,
 			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.obj
 	}
-	return e.objectiveWith(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true) - e.obj
+	return e.objectiveWith(int(src), int(dst), ga, wa, na, gb, wb, true) - e.obj
 }
 
 // Move applies the move of thread i to core dst, updating caches, and
@@ -713,8 +748,11 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 	pv := e.pv
 	e.pv.kind = previewNone
 	before := e.obj
+	util := e.prob.Util
 	e.byCore[src] = removeInPlace(e.byCore[src], i)
 	e.byCore[dst] = append(e.byCore[dst], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity; growth stops after the first epochs)
+	e.order[src] = removeInPlace(e.order[src], i)
+	e.order[dst] = insertByUtil(e.order[dst], util, i)
 	e.alloc[i] = dst
 	if pv.kind == previewMove && pv.i == i && pv.dst == dst {
 		e.setCore(int(src), pv.ga, pv.wa)
@@ -748,16 +786,8 @@ func (e *Evaluator) SwapDelta(i, k int) float64 {
 	if ci == ck {
 		return 0
 	}
-	e.previewA = removeFromInto(e.previewA, e.byCore[ci], i)
-	na := len(e.previewA)
-	e.previewA = growInts(e.previewA, na+1)
-	e.previewA[na] = k
-	e.previewB = removeFromInto(e.previewB, e.byCore[ck], k)
-	nb := len(e.previewB)
-	e.previewB = growInts(e.previewB, nb+1)
-	e.previewB[nb] = i
-	ga, wa := e.coreEval(int(ci), e.previewA)
-	gb, wb := e.coreEval(int(ck), e.previewB)
+	ga, wa := e.coreEval(int(ci), i, k)
+	gb, wb := e.coreEval(int(ck), k, i)
 	e.pv = preview{kind: previewSwap, i: i, k: k, ga: ga, wa: wa, gb: gb, wb: wb}
 	if t := e.prob.Contention; t != nil {
 		return e.objectiveWithCont(int(ci), int(ck), ga, wa, true, gb, wb, true,
@@ -778,6 +808,9 @@ func (e *Evaluator) Swap(i, k int) float64 {
 	before := e.obj
 	e.byCore[ci] = append(removeInPlace(e.byCore[ci], i), k) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.byCore[ck] = append(removeInPlace(e.byCore[ck], k), i) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
+	util := e.prob.Util
+	e.order[ci] = insertByUtil(removeInPlace(e.order[ci], i), util, k)
+	e.order[ck] = insertByUtil(removeInPlace(e.order[ck], k), util, i)
 	e.alloc[i], e.alloc[k] = ck, ci
 	if pv.kind == previewSwap && pv.i == i && pv.k == k {
 		e.setCore(int(ci), pv.ga, pv.wa)
@@ -805,7 +838,7 @@ func (e *Evaluator) Swap(i, k int) float64 {
 // recompute refreshes core j's cached contribution after a membership
 // change.
 func (e *Evaluator) recompute(j int) {
-	g, w := e.coreEval(j, e.byCore[j])
+	g, w := e.coreEval(j, -1, -1)
 	e.setCore(j, g, w)
 }
 
@@ -824,24 +857,6 @@ func (e *Evaluator) setCore(j int, g, w float64) {
 	pop := len(e.byCore[j]) > 0
 	e.ratioSum += ratio(g, w, pop)
 	e.prevPopulated[j] = pop
-}
-
-// removeFromInto writes s minus the first occurrence of v into dst
-// (reusing dst's backing array) and returns it. The input slice is not
-// modified, so delta previews stay side-effect free.
-func removeFromInto(dst, s []int, v int) []int {
-	dst = growInts(dst, len(s))
-	k := 0
-	removed := false
-	for _, x := range s {
-		if !removed && x == v {
-			removed = true
-			continue
-		}
-		dst[k] = x
-		k++
-	}
-	return dst[:k]
 }
 
 // removeInPlace deletes the first occurrence of v from s, preserving

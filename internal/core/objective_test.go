@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +65,16 @@ func TestProblemValidate(t *testing.T) {
 		func(p *Problem) { p.Util[0] = 1.5 },
 		func(p *Problem) { p.Power[2][1] = -1 },
 		func(p *Problem) { p.Weights = []float64{1} },
+		func(p *Problem) { p.Util[1] = math.NaN() },
+		func(p *Problem) { p.IPS[0][2] = math.NaN() },
+		func(p *Problem) { p.IPS[3][0] = math.Inf(1) },
+		func(p *Problem) { p.Power[1][1] = math.NaN() },
+		func(p *Problem) { p.Power[2][0] = math.Inf(1) },
+		func(p *Problem) { p.IdlePower[1] = math.NaN() },
+		func(p *Problem) { p.IdlePower[0] = math.Inf(1) },
+		func(p *Problem) { p.Weights = []float64{1, math.NaN(), 1} },
+		func(p *Problem) { p.Weights = []float64{math.Inf(1), 1, 1} },
+		func(p *Problem) { p.Weights = []float64{1, 1, math.Inf(-1)} },
 	}
 	for i, mod := range bad {
 		p := toyProblem()
@@ -73,35 +85,139 @@ func TestProblemValidate(t *testing.T) {
 	}
 }
 
+// coreShare is the reference water-filling the evaluator is checked
+// against: it computes, for the threads mapped to one core, each
+// thread's share of core time under CFS time-sharing — fair water-
+// filling of one core-second per second among threads capped by their
+// utilisation demand. The return value is aligned with utils. It
+// sorts an index over the demands (a stable insertion sort) on every
+// call, which the evaluator avoids by keeping each core's order.
+func coreShare(utils []float64) []float64 {
+	n := len(utils)
+	shares := make([]float64, n)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < n; i++ {
+		k := idx[i]
+		j := i - 1
+		for j >= 0 && utils[idx[j]] > utils[k] {
+			idx[j+1] = idx[j]
+			j--
+		}
+		idx[j+1] = k
+	}
+	capacity := 1.0
+	remaining := n
+	for _, i := range idx {
+		fair := capacity / float64(remaining)
+		s := utils[i]
+		if s > fair {
+			s = fair
+		}
+		shares[i] = s
+		capacity -= s
+		remaining--
+	}
+	return shares
+}
+
+// refCoreEval is the reference for Evaluator.coreEval: core j's
+// weighted GIPS and power for the explicit member list threads, by
+// coreShare over the members' demands and sums in list order.
+func refCoreEval(p *Problem, j int, threads []int) (gips, power float64) {
+	if len(threads) == 0 {
+		return 0, p.IdlePower[j]
+	}
+	utils := make([]float64, len(threads))
+	for k, i := range threads {
+		utils[k] = p.Util[i]
+	}
+	shares := coreShare(utils)
+	var ips, busy float64
+	for k, i := range threads {
+		s := shares[k]
+		ips += s * p.IPS[i][j]
+		power += s * p.Power[i][j]
+		busy += s
+	}
+	power += (1 - busy) * p.IdlePower[j]
+	return p.weight(j) * ips / 1e9, power
+}
+
+// evalShares runs the production water-filling over threads with the
+// given demands, all on core 0 of a one-core problem, and returns the
+// shares aligned with utils.
+func evalShares(t *testing.T, utils []float64) []float64 {
+	t.Helper()
+	m := len(utils)
+	p := &Problem{IPS: make([][]float64, m), Power: make([][]float64, m), Util: utils, IdlePower: []float64{0.1}}
+	for i := range p.IPS {
+		p.IPS[i] = []float64{1e9}
+		p.Power[i] = []float64{1}
+	}
+	e, err := NewEvaluator(p, make(Allocation, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.coreEval(0, -1, -1)
+	return append([]float64(nil), e.share...)
+}
+
+// shareImpl is one water-filling implementation under test.
+type shareImpl struct {
+	name  string
+	share func([]float64) []float64
+}
+
+// shareImpls are the water-filling implementations the TestCoreShare*
+// properties hold for: the reference and the evaluator's.
+func shareImpls(t *testing.T) []shareImpl {
+	return []shareImpl{
+		{"reference", coreShare},
+		{"evaluator", func(u []float64) []float64 { return evalShares(t, u) }},
+	}
+}
+
 func TestCoreShareWaterFilling(t *testing.T) {
-	// Demands below the fair share are met exactly; the rest split the
-	// remainder.
-	shares := coreShare([]float64{0.1, 1, 1})
-	if math.Abs(shares[0]-0.1) > 1e-12 {
-		t.Fatalf("light thread share %g", shares[0])
-	}
-	if math.Abs(shares[1]-0.45) > 1e-12 || math.Abs(shares[2]-0.45) > 1e-12 {
-		t.Fatalf("heavy shares %v", shares)
-	}
-	// Total never exceeds capacity.
-	total := shares[0] + shares[1] + shares[2]
-	if total > 1+1e-12 {
-		t.Fatalf("shares exceed capacity: %g", total)
+	for _, impl := range shareImpls(t) {
+		name, share := impl.name, impl.share
+		// Demands below the fair share are met exactly; the rest split
+		// the remainder.
+		shares := share([]float64{0.1, 1, 1})
+		if math.Abs(shares[0]-0.1) > 1e-12 {
+			t.Fatalf("%s: light thread share %g", name, shares[0])
+		}
+		if math.Abs(shares[1]-0.45) > 1e-12 || math.Abs(shares[2]-0.45) > 1e-12 {
+			t.Fatalf("%s: heavy shares %v", name, shares)
+		}
+		// Total never exceeds capacity.
+		total := shares[0] + shares[1] + shares[2]
+		if total > 1+1e-12 {
+			t.Fatalf("%s: shares exceed capacity: %g", name, total)
+		}
 	}
 }
 
 func TestCoreShareAllLight(t *testing.T) {
-	shares := coreShare([]float64{0.2, 0.3})
-	if shares[0] != 0.2 || shares[1] != 0.3 {
-		t.Fatalf("light demands should be met: %v", shares)
+	for _, impl := range shareImpls(t) {
+		name, share := impl.name, impl.share
+		shares := share([]float64{0.2, 0.3})
+		if shares[0] != 0.2 || shares[1] != 0.3 {
+			t.Fatalf("%s: light demands should be met: %v", name, shares)
+		}
 	}
 }
 
 func TestCoreShareSaturated(t *testing.T) {
-	shares := coreShare([]float64{1, 1, 1, 1})
-	for _, s := range shares {
-		if math.Abs(s-0.25) > 1e-12 {
-			t.Fatalf("saturated shares %v", shares)
+	for _, impl := range shareImpls(t) {
+		name, share := impl.name, impl.share
+		shares := share([]float64{1, 1, 1, 1})
+		for _, s := range shares {
+			if math.Abs(s-0.25) > 1e-12 {
+				t.Fatalf("%s: saturated shares %v", name, shares)
+			}
 		}
 	}
 }
@@ -110,30 +226,111 @@ func TestCoreShareEmpty(t *testing.T) {
 	if len(coreShare(nil)) != 0 {
 		t.Fatal("empty core should have no shares")
 	}
+	// An empty core of the evaluator produces nothing and draws its
+	// idle power.
+	p := toyProblem()
+	e, err := NewEvaluator(p, Allocation{0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := e.coreEval(2, -1, -1); g != 0 || w != p.IdlePower[2] {
+		t.Fatalf("empty core evaluated to (%g, %g)", g, w)
+	}
+	if g, w := e.coreEval(1, -1, -1); g != 0 || w != p.IdlePower[1] {
+		t.Fatalf("empty core evaluated to (%g, %g)", g, w)
+	}
 }
 
 func TestCoreShareProperty(t *testing.T) {
-	// For any demands, shares are within [0, demand] and sum <= 1.
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 || len(raw) > 12 {
-			return true
-		}
-		utils := make([]float64, len(raw))
-		for i, v := range raw {
-			utils[i] = float64(v) / 255
-		}
-		shares := coreShare(utils)
-		sum := 0.0
-		for i, s := range shares {
-			if s < -1e-12 || s > utils[i]+1e-12 {
-				return false
+	for _, impl := range shareImpls(t) {
+		name, share := impl.name, impl.share
+		// For any demands, shares are within [0, demand] and sum <= 1.
+		f := func(raw []uint8) bool {
+			if len(raw) == 0 || len(raw) > 12 {
+				return true
 			}
-			sum += s
+			utils := make([]float64, len(raw))
+			for i, v := range raw {
+				utils[i] = float64(v) / 255
+			}
+			shares := share(utils)
+			sum := 0.0
+			for i, s := range shares {
+				if s < -1e-12 || s > utils[i]+1e-12 {
+					return false
+				}
+				sum += s
+			}
+			return sum <= 1+1e-9
 		}
-		return sum <= 1+1e-9
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+}
+
+// tieUtils redraws p's utilisations from a small palette of saturated
+// and repeated fractional demands, so most threads tie with another.
+func tieUtils(r *rng.Rand, p *Problem) {
+	palette := []float64{1, 1, 1, 0.5, 0.5, 0.25, 0.75, 0.125, 0}
+	for i := range p.Util {
+		p.Util[i] = palette[r.Intn(len(palette))]
+	}
+}
+
+// TestCoreEvalMatchesReference checks the evaluator's list-free
+// previews against the reference: for random (core, drop, add) edits
+// of random allocations with tied and saturated demands, coreEval must
+// equal refCoreEval over the explicitly edited member list (drop
+// removed, add appended), bit for bit.
+func TestCoreEvalMatchesReference(t *testing.T) {
+	r := rng.New(91)
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + r.Intn(24)
+		n := 1 + r.Intn(5)
+		p := randomProblem(r, m, n)
+		if trial%2 == 0 {
+			tieUtils(r, p)
+		}
+		alloc := make(Allocation, m)
+		for i := range alloc {
+			alloc[i] = arch.CoreID(r.Intn(n))
+		}
+		e, err := NewEvaluator(p, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 20; step++ {
+			j := r.Intn(n)
+			drop, add := -1, -1
+			if i := r.Intn(m); r.Float64() < 0.7 && int(e.alloc[i]) == j {
+				drop = i
+			}
+			if i := r.Intn(m); r.Float64() < 0.7 && int(e.alloc[i]) != j {
+				add = i
+			}
+			var list []int
+			for _, i := range e.byCore[j] {
+				if i != drop {
+					list = append(list, i)
+				}
+			}
+			if add >= 0 {
+				list = append(list, add)
+			}
+			g, w := e.coreEval(j, drop, add)
+			rg, rw := refCoreEval(p, j, list)
+			if math.Float64bits(g) != math.Float64bits(rg) || math.Float64bits(w) != math.Float64bits(rw) {
+				t.Fatalf("trial %d core %d drop %d add %d: coreEval (%v, %v) != reference (%v, %v) over %v",
+					trial, j, drop, add, g, w, rg, rw, list)
+			}
+			if r.Float64() < 0.5 {
+				e.Move(r.Intn(m), arch.CoreID(r.Intn(n)))
+			} else if m >= 2 {
+				e.Swap(r.Intn(m), r.Intn(m))
+			}
+			checkCachesFresh(t, e)
+		}
 	}
 }
 
@@ -213,6 +410,9 @@ func TestEvaluatorIncrementalMatchesScratch(t *testing.T) {
 		m := 2 + r.Intn(10)
 		n := 2 + r.Intn(5)
 		p := randomProblem(r, m, n)
+		if trial%2 == 1 {
+			tieUtils(r, p)
+		}
 		alloc := make(Allocation, m)
 		for i := range alloc {
 			alloc[i] = arch.CoreID(r.Intn(n))
@@ -319,16 +519,36 @@ func mutateAndCheck(t *testing.T, r *rng.Rand, e *Evaluator) {
 
 // checkCachesFresh asserts, bit for bit, that every evaluator cache
 // equals a fresh computation from the current allocation: each core's
-// (gips, power) a fresh coreEval of its members, each contention
-// penalty a fresh penalty of the current aggregates, and the cached
-// objective a fresh fold.
+// members are exactly the threads allocated to it, its order row a
+// stable sort of them by utilisation, its (gips, power) the reference
+// refCoreEval over a copy of its member list, each contention penalty
+// a fresh penalty of the current aggregates, and the cached objective
+// a fresh fold.
 func checkCachesFresh(t *testing.T, e *Evaluator) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	counts := make([]int, len(e.byCore))
+	for _, c := range e.alloc {
+		counts[c]++
+	}
 	for j := range e.byCore {
-		g, w := e.coreEval(j, e.byCore[j])
+		members := append([]int(nil), e.byCore[j]...)
+		if len(members) != counts[j] {
+			t.Fatalf("core %d lists %d members, allocation has %d", j, len(members), counts[j])
+		}
+		for _, i := range members {
+			if int(e.alloc[i]) != j {
+				t.Fatalf("core %d lists thread %d, allocated to core %d", j, i, e.alloc[i])
+			}
+		}
+		sorted := append([]int(nil), members...)
+		sort.SliceStable(sorted, func(a, b int) bool { return e.prob.Util[sorted[a]] < e.prob.Util[sorted[b]] })
+		if !slices.Equal(sorted, e.order[j]) {
+			t.Fatalf("core %d order %v, want stable sort %v of members %v", j, e.order[j], sorted, members)
+		}
+		g, w := refCoreEval(e.prob, j, members)
 		if !same(g, e.coreGIPS[j]) || !same(w, e.corePow[j]) {
-			t.Fatalf("core %d cached (%v, %v) != fresh (%v, %v)", j, e.coreGIPS[j], e.corePow[j], g, w)
+			t.Fatalf("core %d cached (%v, %v) != reference (%v, %v)", j, e.coreGIPS[j], e.corePow[j], g, w)
 		}
 	}
 	if e.prob.Contention != nil {

@@ -15,14 +15,6 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// growInts returns s resized to n; contents are unspecified.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
-	}
-	return s[:n]
-}
-
 // growAlloc returns s resized to n; contents are unspecified.
 func growAlloc(s Allocation, n int) Allocation {
 	if cap(s) < n {

@@ -149,15 +149,12 @@ func ExpNeg(x Q) Q {
 		return One
 	}
 	const ln2 Q = 45426 // round(ln(2) * 65536)
-	// Integer count of ln2 halvings.
-	k := 0
-	for x >= ln2 {
-		x -= ln2
-		k++
-		if k >= 31 {
-			return 0
-		}
+	// Integer count of ln2 halvings; from 31 on the result underflows.
+	k := int(x / ln2)
+	if k >= 31 {
+		return 0
 	}
+	x -= Q(k) * ln2
 	// x is now in [0, ln2). Index the 1/16-granular table.
 	i := int(x >> (Shift - 4)) // x / (1/16)
 	if i > 15 {

@@ -182,6 +182,49 @@ func TestExpNegMonotone(t *testing.T) {
 	}
 }
 
+// expNegLoop is the reference for ExpNeg: the same approximation with
+// the range reduction written as a loop of up to 31 ln2 subtractions.
+func expNegLoop(x Q) Q {
+	if x <= 0 {
+		return One
+	}
+	const ln2 Q = 45426 // round(ln(2) * 65536)
+	k := 0
+	for x >= ln2 {
+		x -= ln2
+		k++
+		if k >= 31 {
+			return 0
+		}
+	}
+	i := int(x >> (Shift - 4))
+	if i > 15 {
+		i = 15
+	}
+	r := x - Q(i)<<(Shift-4)
+	v := Mul(expFracTable[i], One-r)
+	return v >> uint(k)
+}
+
+func TestExpNegMatchesLoopReference(t *testing.T) {
+	const ln2 Q = 45426
+	// Exhaustive over every input the reduction can distinguish, past
+	// the 31·ln2 underflow cut-off by one more ln2.
+	for x := Q(-1); x <= 32*ln2; x++ {
+		if got, want := ExpNeg(x), expNegLoop(x); got != want {
+			t.Fatalf("ExpNeg(%d) = %d, loop reference %d", x, got, want)
+		}
+		if x >= 31*ln2 && ExpNeg(x) != 0 {
+			t.Fatalf("ExpNeg(%d) = %d at or above 31·ln2, want 0", x, ExpNeg(x))
+		}
+	}
+	for _, x := range []Q{MinQ, 33 * ln2, FromInt(1000), FromInt(30000), MaxQ - 1, MaxQ} {
+		if got, want := ExpNeg(x), expNegLoop(x); got != want {
+			t.Fatalf("ExpNeg(%d) = %d, loop reference %d", x, got, want)
+		}
+	}
+}
+
 func TestSqrt(t *testing.T) {
 	cases := []float64{0, 1, 2, 4, 9, 0.25, 100, 1024, 30000}
 	for _, f := range cases {
